@@ -54,7 +54,7 @@ func encodedValuesFrame(t testing.TB, n int) []byte {
 // frames through a frameReader allocates nothing — the recycled payload
 // buffer is the whole point of the type.
 func TestFrameReaderZeroAllocSteadyState(t *testing.T) {
-	fr := newFrameReader(&loopReader{data: encodedValuesFrame(t, 64)})
+	fr := newFrameReader(&loopReader{data: encodedValuesFrame(t, 64)}, 0)
 	read := func() {
 		typ, _, err := fr.read()
 		if err != nil || typ != frameValues {
@@ -89,7 +89,7 @@ func TestWriteFrameZeroAllocSmallPayload(t *testing.T) {
 // the slice or the batch walk.
 func TestUnmarshalBatchIntoReusesScratch(t *testing.T) {
 	const n = 64
-	fr := newFrameReader(&loopReader{data: encodedValuesFrame(t, n)})
+	fr := newFrameReader(&loopReader{data: encodedValuesFrame(t, n)}, 0)
 	var vals []value.V
 	step := func() {
 		_, payload, err := fr.read()

@@ -494,10 +494,9 @@ func (p *RemotePipe) readLoop(conn net.Conn, out queue.Queue[value.V], done chan
 	// reuses one payload buffer, and batch decoding reuses one value
 	// slice (PutBatch copies the elements into the ring, and the codec
 	// never aliases the payload).
-	fr := newFrameReader(conn)
+	fr := newFrameReader(conn, liveness)
 	var vals []value.V
 	for {
-		conn.SetReadDeadline(time.Now().Add(liveness))
 		typ, payload, err := fr.read()
 		if err != nil {
 			p.fail(fmt.Errorf("%w: %v", errConnLost, err))

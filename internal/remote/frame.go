@@ -39,6 +39,7 @@
 package remote
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,6 +47,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"junicon/internal/telemetry"
 )
@@ -197,21 +199,59 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return hdr[0], payload, nil
 }
 
-// frameReader reads frames into a reusable payload buffer. The returned
-// payload is valid only until the next read — exactly the lifetime the
-// decode paths need, since wire.Unmarshal copies everything it keeps and
-// OPEN payloads (whose parse aliases the buffer) are copied explicitly by
-// the session demux. One reader per connection read loop: no pool
-// contention and no cross-goroutine aliasing.
+// frameReadBuf is the frameReader's kernel-read size. The session
+// writer coalesces a flush of many small frames into one Write; a buffer
+// this size takes a whole typical flush in one read syscall instead of
+// two per frame. Payloads larger than it bypass the buffer and read
+// straight into the payload scratch.
+const frameReadBuf = 16 << 10
+
+// frameReader reads frames through a fixed read buffer into a reusable
+// payload buffer. The returned payload is valid only until the next read
+// — exactly the lifetime the decode paths need, since wire.Unmarshal
+// copies everything it keeps and OPEN payloads (whose parse aliases the
+// buffer) are copied explicitly by the session demux. One reader per
+// connection read loop: no pool contention and no cross-goroutine
+// aliasing. It may read ahead of the frame it returns, so it must be
+// created only after the last unbuffered readFrame on its connection
+// (the handshakes).
 type frameReader struct {
-	r   io.Reader
+	r   *bufio.Reader
 	buf []byte
 	// hdr is the header scratch; a local array would escape through the
 	// io.Reader interface and cost one allocation per frame.
 	hdr [muxHeaderLen]byte
 }
 
-func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r} }
+// newFrameReader reads frames from r. When r is a connection and idle is
+// positive, every read that goes to the kernel first moves the read
+// deadline idle ahead: the connection fails once idle passes with no
+// bytes arriving, whether the peer went silent between frames or
+// partway through one.
+func newFrameReader(r io.Reader, idle time.Duration) *frameReader {
+	if c, ok := r.(readDeadliner); ok && idle > 0 {
+		r = &deadlineReader{c: c, idle: idle}
+	}
+	return &frameReader{r: bufio.NewReaderSize(r, frameReadBuf)}
+}
+
+// readDeadliner is the part of a net.Conn the liveness rule needs.
+type readDeadliner interface {
+	io.Reader
+	SetReadDeadline(time.Time) error
+}
+
+// deadlineReader refreshes the read deadline before each kernel read.
+type deadlineReader struct {
+	c    readDeadliner
+	idle time.Duration
+}
+
+func (d *deadlineReader) Read(p []byte) (int, error) {
+	// A failure here means the connection is closed, which Read reports.
+	_ = d.c.SetReadDeadline(time.Now().Add(d.idle))
+	return d.c.Read(p)
+}
 
 // payload returns the scratch buffer sized to n, growing (and
 // occasionally shrinking, so one huge frame does not pin its high-water

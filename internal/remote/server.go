@@ -454,10 +454,9 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	// Connection reader: credits, pings, cancel; any read error (including
 	// the rolling idle deadline) or protocol violation cancels the stream.
-	fr := newFrameReader(conn)
+	fr := newFrameReader(conn, idle)
 reader:
 	for {
-		conn.SetReadDeadline(time.Now().Add(idle))
 		typ, payload, err := fr.read()
 		if err != nil {
 			ss.setReason("connection lost")
@@ -867,11 +866,10 @@ func (s *Server) serveSession(conn net.Conn, hello *openReq) {
 	// millions of short streams needs.
 	sweepAt := 64
 	idle := s.idleTimeout()
-	fr := newFrameReader(conn)
+	fr := newFrameReader(conn, idle)
 	var serr error
 loop:
 	for {
-		conn.SetReadDeadline(time.Now().Add(idle))
 		typ, sid, payload, err := fr.readMux()
 		if err != nil {
 			serr = err

@@ -417,12 +417,10 @@ func (s *Session) teardown(err error) {
 // by id, and ids missing from the table (finished streams) are dropped —
 // a server flush can legitimately race a cancel.
 func (s *Session) readLoop() {
-	fr := newFrameReader(s.io.conn)
-	liveness := 4 * s.hb
+	fr := newFrameReader(s.io.conn, 4*s.hb)
 	var ferr error
 loop:
 	for {
-		s.io.conn.SetReadDeadline(time.Now().Add(liveness))
 		typ, sid, payload, err := fr.readMux()
 		if err != nil {
 			ferr = fmt.Errorf("%w: %v", errConnLost, err)

@@ -2,6 +2,7 @@ package translate_test
 
 import (
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -266,14 +267,27 @@ func TestClassConstructorFromEmbeddedCode(t *testing.T) {
 // TestTranslatedStaticsAndInitial: static state persists across calls of
 // the translated procedure, and initial runs once.
 func TestTranslatedStaticsAndInitial(t *testing.T) {
-	if got := callGen(t, "ticker"); len(got) != 1 || got[0] != "1" {
-		t.Fatalf("first tick = %v", got)
+	// The static lives in the translated package for the whole process,
+	// so an earlier run (-count=N) has already ticked it: count from
+	// wherever it stands, one step per call.
+	tick := func() int {
+		t.Helper()
+		got := callGen(t, "ticker")
+		if len(got) != 1 {
+			t.Fatalf("tick = %v, want one value", got)
+		}
+		n, err := strconv.Atoi(got[0])
+		if err != nil || n < 1 {
+			t.Fatalf("tick = %v, want a positive count", got)
+		}
+		return n
 	}
-	if got := callGen(t, "ticker"); got[0] != "2" {
-		t.Fatalf("second tick = %v", got)
+	first := tick()
+	if got := tick(); got != first+1 {
+		t.Fatalf("second tick = %d after %d: static did not persist", got, first)
 	}
-	if got := callGen(t, "ticker"); got[0] != "3" {
-		t.Fatalf("third tick = %v", got)
+	if got := tick(); got != first+2 {
+		t.Fatalf("third tick = %d after %d: static did not persist", got, first)
 	}
 }
 

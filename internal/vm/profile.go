@@ -44,15 +44,17 @@ type CodeProfile struct {
 	resume telemetry.Histogram // suspend → resume latency, ns
 }
 
-// profiles is the process-wide registry of per-unit profiles, appended to
-// lazily by the first profiled Next of each Machine.
+// profiles is the process-wide registry of per-unit profiles, keyed by
+// unit name: every Machine running a unit of the same name shares one
+// row, so a long-lived process that builds machines repeatedly keeps a
+// bounded registry, and a rerun reads the same row it reset.
 var profiles = struct {
 	sync.Mutex
-	list []*CodeProfile
-}{}
+	byName map[string]*CodeProfile
+}{byName: make(map[string]*CodeProfile)}
 
-// profile returns the Machine's profile, creating and registering it on
-// first use. Fast path: one atomic pointer load.
+// profile returns the Machine's profile, looking up (or registering) its
+// unit's row on first use. Fast path: one atomic pointer load.
 func (m *Machine) profile() *CodeProfile {
 	if p := m.prof.Load(); p != nil {
 		return p
@@ -61,13 +63,14 @@ func (m *Machine) profile() *CodeProfile {
 	if name == "" {
 		name = "<expr>"
 	}
-	p := &CodeProfile{name: name}
-	if !m.prof.CompareAndSwap(nil, p) {
-		return m.prof.Load()
-	}
 	profiles.Lock()
-	profiles.list = append(profiles.list, p)
+	p := profiles.byName[name]
+	if p == nil {
+		p = &CodeProfile{name: name}
+		profiles.byName[name] = p
+	}
 	profiles.Unlock()
+	m.prof.Store(p)
 	return p
 }
 
@@ -77,7 +80,7 @@ func (m *Machine) profile() *CodeProfile {
 func ResetProfile() {
 	profiles.Lock()
 	defer profiles.Unlock()
-	for _, p := range profiles.list {
+	for _, p := range profiles.byName {
 		p.calls.Store(0)
 		p.yields.Store(0)
 		for i := range p.ops {
@@ -104,10 +107,14 @@ type ProcProfile struct {
 	ResumeLat telemetry.HistogramSnapshot `json:"resume_latency_ns"`
 }
 
-// SnapshotProfile returns every unit's accumulated profile, busiest first.
+// SnapshotProfile returns every unit's accumulated profile, busiest first
+// (ties by name).
 func SnapshotProfile() []ProcProfile {
 	profiles.Lock()
-	list := append([]*CodeProfile(nil), profiles.list...)
+	list := make([]*CodeProfile, 0, len(profiles.byName))
+	for _, p := range profiles.byName {
+		list = append(list, p)
+	}
 	profiles.Unlock()
 	out := make([]ProcProfile, 0, len(list))
 	for _, p := range list {
@@ -126,7 +133,12 @@ func SnapshotProfile() []ProcProfile {
 		sort.Slice(pp.Ops, func(i, j int) bool { return pp.Ops[i].Count > pp.Ops[j].Count })
 		out = append(out, pp)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Total > out[j].Total })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Total != out[j].Total {
+			return out[i].Total > out[j].Total
+		}
+		return out[i].Name < out[j].Name
+	})
 	return out
 }
 

@@ -59,6 +59,41 @@ end`, "nums(50)", 100)
 	}
 }
 
+// TestProfileRegistryBoundedAcrossMachines: machines built repeatedly for
+// the same unit share one profile row — the registry does not grow with
+// every Machine a long-lived process creates — and the row sums them all.
+func TestProfileRegistryBoundedAcrossMachines(t *testing.T) {
+	vm.ResetProfile()
+	vm.EnableProfiling()
+	defer vm.DisableProfiling()
+	const machines = 20
+	for i := 0; i < machines; i++ {
+		in := vmInterp(t, `
+procedure again(n)
+  local i
+  every i := 1 to n do suspend i
+end`)
+		g, err := in.EvalGen("again(5)")
+		if err != nil {
+			t.Fatalf("eval: %v", err)
+		}
+		drain(g, 10)
+	}
+	rows, yields := 0, int64(0)
+	for _, pp := range vm.SnapshotProfile() {
+		if pp.Name == "again" {
+			rows++
+			yields += pp.Yields
+		}
+	}
+	if rows != 1 {
+		t.Fatalf("%d profile rows for one unit run by %d machines, want 1", rows, machines)
+	}
+	if yields != 5*machines {
+		t.Fatalf("yields = %d, want %d", yields, 5*machines)
+	}
+}
+
 func TestProfileOffIsInvisible(t *testing.T) {
 	vm.ResetProfile()
 	vm.DisableProfiling()
