@@ -123,3 +123,36 @@ func TestAppendMuxFrameZeroAllocWithCapacity(t *testing.T) {
 		t.Errorf("appendMuxFrame allocates %.2f/op with capacity, want 0", avg)
 	}
 }
+
+// discardWriter is a streamWriter that drops every frame.
+type discardWriter struct{}
+
+func (discardWriter) writeStream(byte, []byte) error { return nil }
+
+// TestValueRunZeroAllocSteadyState: the server's produce-side step —
+// encode a value into the stream's scratch, append it to the run, flush
+// each full run — allocates nothing once its buffers have grown, for
+// integers and short strings alike.
+func TestValueRunZeroAllocSteadyState(t *testing.T) {
+	const batch = 64
+	for _, v := range []value.V{value.NewInt(1 << 40), value.String("a short string")} {
+		r := &valueRun{}
+		step := func() {
+			data, err := r.encode(v)
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			if r.add(data) >= batch {
+				if err := r.flush(discardWriter{}); err != nil {
+					t.Fatalf("flush: %v", err)
+				}
+			}
+		}
+		for i := 0; i < batch; i++ {
+			step() // warmup: grow the scratch, the run and the payload
+		}
+		if avg := testing.AllocsPerRun(10*batch, step); avg > 0 {
+			t.Errorf("encode-and-append of %s allocates %.3f/value steady-state, want 0", value.Image(v), avg)
+		}
+	}
+}

@@ -81,12 +81,12 @@ type Config struct {
 	// peer silent for several intervals is treated as lost.
 	Heartbeat time.Duration
 	// Batch is the VALUES-frame capability advertised at OPEN: the server
-	// may deliver up to Batch values per frame, and the client coalesces
-	// its per-value credit grants into runs of the same size. 0 selects
-	// DefaultBatch; negative disables batching entirely (the pipe sends a
-	// pre-batching v2 OPEN and receives one VALUE frame per value).
-	// Credit accounting is per value either way, so the Buffer bound —
-	// §3B's throttle — is unchanged by batching.
+	// may deliver up to Batch values per frame. 0 selects DefaultBatch;
+	// 1 or negative disables batching, and the server sends one VALUE
+	// frame per value. The client grants credit once it owes the larger
+	// of the batch and Buffer/2 values (at least 1), but credit accounting
+	// is per value, so the Buffer bound — §3B's throttle — is unchanged
+	// by batching.
 	Batch int
 	// CheckpointEvery asks a v4 server to checkpoint the stream after every
 	// N delivered values (a SNAPSHOT frame piggybacked on the credit
@@ -793,7 +793,13 @@ func (p *RemotePipe) Next() (value.V, bool) {
 	p.mu.Lock()
 	p.results++
 	p.debt++
-	grant := !batched || p.debt >= uint64(p.batch)
+	// A grant is due once the debt reaches the largest of the batch, half
+	// the window and 1; accounting stays per value, so at most Buffer
+	// values are ever unconsumed (§3B). Unbatched streams need no demand
+	// ping: a consumer blocked on an empty queue with nothing in flight
+	// leaves the server Buffer − debt credits, and debt < max(Buffer/2, 1)
+	// makes that more than Buffer/2 and at least 1.
+	grant := p.debt >= max(uint64(p.batch), uint64(p.cfg.buffer()/2), 1)
 	if ih != nil {
 		ih.Running()
 		ih.Consumed(1)
@@ -803,9 +809,6 @@ func (p *RemotePipe) Next() (value.V, bool) {
 	}
 	p.mu.Unlock()
 	if grant {
-		// Unbatched streams credit every value (the original per-value
-		// ACK clock); batched streams coalesce a batch's worth into one
-		// frame, with the pre-block demand ping above covering the tail.
 		p.flushCredits(false)
 	}
 	return v, true

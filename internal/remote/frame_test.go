@@ -436,3 +436,49 @@ func TestLivenessCountsBytesNotFrames(t *testing.T) {
 		}
 	})
 }
+
+// recordWriter is a streamWriter that keeps a copy of every frame.
+type recordWriter struct {
+	typs     []byte
+	payloads [][]byte
+}
+
+func (w *recordWriter) writeStream(typ byte, payload []byte) error {
+	w.typs = append(w.typs, typ)
+	w.payloads = append(w.payloads, append([]byte(nil), payload...))
+	return nil
+}
+
+// TestValueRunMatchesBatchEncoding: a served stream's VALUES payload is
+// byte for byte what wire.EncodeBatch makes of the values' Marshal bytes,
+// run after run through the same recycled buffers.
+func TestValueRunMatchesBatchEncoding(t *testing.T) {
+	runs := [][]value.V{
+		{value.NewInt(1)},
+		{value.NewInt(-7), value.String("two"), value.NullV, value.Real(2.5)},
+		{value.NewList(value.NewInt(1), value.String("x")), value.String(strings.Repeat("long ", 40))},
+	}
+	r := &valueRun{}
+	w := &recordWriter{}
+	if err := r.flush(w); err != nil || len(w.payloads) != 0 {
+		t.Fatalf("flush of an empty run wrote %d frames, err %v", len(w.payloads), err)
+	}
+	for i, vs := range runs {
+		var items [][]byte
+		for _, v := range vs {
+			want, _ := wire.Marshal(v)
+			items = append(items, want)
+			data, err := r.encode(v)
+			if err != nil || !bytes.Equal(data, want) {
+				t.Fatalf("encode(%s) = % x, %v; want % x", value.Image(v), data, err, want)
+			}
+			r.add(data)
+		}
+		if err := r.flush(w); err != nil {
+			t.Fatal(err)
+		}
+		if w.typs[i] != frameValues || !bytes.Equal(w.payloads[i], wire.EncodeBatch(items)) {
+			t.Fatalf("run %d: %s payload % x, want VALUES % x", i, frameName(w.typs[i]), w.payloads[i], wire.EncodeBatch(items))
+		}
+	}
+}

@@ -404,6 +404,53 @@ func (w *muxWriter) writeStream(typ byte, payload []byte) error {
 	return w.io.enqueue(typ, w.sid, payload)
 }
 
+// valueRun is a served stream's encode scratch and pending VALUES run,
+// held as batch items so a flush only puts the count in front. mu is
+// held across the flush's write, so racing flushes (producer fill,
+// reader demand) emit runs in production order. Writers are done with a
+// payload when writeStream returns, so every buffer is reused.
+type valueRun struct {
+	enc []byte // producer goroutine only
+
+	mu  sync.Mutex
+	n   int    // values in buf
+	buf []byte // the run's values as batch items
+	out []byte // count + buf: the VALUES payload being written
+}
+
+// encode marshals v into the producer's scratch; the bytes are valid
+// until the next encode.
+func (r *valueRun) encode(v value.V) ([]byte, error) {
+	var err error
+	r.enc, err = wire.Append(r.enc[:0], v)
+	return r.enc, err
+}
+
+// add appends one encoded value to the run and reports the run's length.
+func (r *valueRun) add(data []byte) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.buf = wire.AppendBatchItem(r.buf, data)
+	r.n++
+	return r.n
+}
+
+// flush ships the pending run, if any, as one VALUES frame: the count
+// first, then the run.
+func (r *valueRun) flush(w streamWriter) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.n == 0 {
+		return nil
+	}
+	if telemetry.On() {
+		hServerFlush.Observe(int64(r.n))
+	}
+	r.out = append(wire.AppendBatchCount(r.out[:0], r.n), r.buf...)
+	r.n, r.buf = 0, r.buf[:0]
+	return w.writeStream(frameValues, r.out)
+}
+
 // servedStream is the connection reader's control surface over one
 // producer goroutine: the credit account, the on-demand flush, the
 // teardown reason, and completion.
@@ -531,21 +578,17 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 	st := newStream(open.credit)
 
 	// Batched delivery (OPEN v3): when the client advertises a batch
-	// capability > 1, marshaled values accumulate in pending and ship as
-	// one VALUES frame. Credit accounting stays per value — the producer
-	// still acquires one credit per value before generating it, so the
-	// §3B bounded-buffer backpressure is byte-for-byte the per-value
-	// protocol's. The flush policy is the batched pipe's, translated to
-	// the wire: fill (batch values buffered), demand (a CREDIT frame is
-	// the client draining its queue — the reader flushes on arrival, and
-	// a zero-credit CREDIT is a pure demand ping from a client about to
-	// block), stall (credits exhausted: everything the client allows is
-	// in hand, so ship it before waiting), and EOS/ERR (flush the run
-	// before the terminal frame). bmu is held across the frame write so
-	// racing flushes emit runs in production order; the stream writer's
-	// own serialization nests inside bmu. encBuf is the recycled batch
-	// encoding scratch — both writer kinds are done with the payload when
-	// writeStream returns, so reuse across flushes is safe.
+	// capability > 1, encoded values accumulate in the stream's run and
+	// ship as one VALUES frame. Credit accounting stays per value — the
+	// producer still acquires one credit per value before generating it,
+	// so the §3B bounded-buffer backpressure is byte-for-byte the
+	// per-value protocol's. The flush policy is the batched pipe's,
+	// translated to the wire: fill (batch values buffered), demand (a
+	// CREDIT frame is the client draining its queue — the reader flushes on
+	// arrival, and a zero-credit CREDIT is a pure demand ping from a client
+	// about to block), stall (credits exhausted: everything the client
+	// allows is in hand, so ship it before waiting), and EOS/ERR (flush the
+	// run before the terminal frame).
 	batch := int(open.batch)
 	if batch > MaxServerBatch {
 		batch = MaxServerBatch
@@ -553,25 +596,8 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 	if open.version < 3 || batch <= 1 {
 		batch = 0 // per-value mode
 	}
-	var bmu sync.Mutex
-	var pending [][]byte
-	var encBuf []byte
-	flush := func() error {
-		if batch == 0 {
-			return nil
-		}
-		bmu.Lock()
-		defer bmu.Unlock()
-		if len(pending) == 0 {
-			return nil
-		}
-		encBuf = wire.AppendBatch(encBuf[:0], pending)
-		if telemetry.On() {
-			hServerFlush.Observe(int64(len(pending)))
-		}
-		pending = pending[:0]
-		return w.writeStream(frameValues, encBuf)
-	}
+	run := &valueRun{}
+	flush := func() error { return run.flush(w) } // per-value mode never fills a run
 	s.served.Add(1)
 	s.streams.Add(1)
 	opened := time.Now()
@@ -774,7 +800,7 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 				if tracing {
 					telemetry.EmitSpan(open.stream, telemetry.KindValue, "serve:"+what, sent.Load(), genStart)
 				}
-				data, merr := wire.Marshal(value.Deref(v))
+				data, merr := run.encode(v)
 				if merr != nil {
 					// Values are marshaled at produce time, so an unencodable
 					// value behaves exactly as in per-value mode: everything
@@ -785,11 +811,7 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 				}
 				var werr error
 				if batch > 0 {
-					bmu.Lock()
-					pending = append(pending, data)
-					full := len(pending) >= batch
-					bmu.Unlock()
-					if full {
+					if run.add(data) >= batch {
 						werr = flush()
 					}
 				} else {

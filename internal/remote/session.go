@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,6 +48,12 @@ const DefaultStreamsPerConn = 256
 // connection cannot drain this much, enqueue blocks — the per-connection
 // backpressure the watchdog diagnoses as conn-backpressure.
 var maxSessionPending = 8 << 20
+
+// corkBytes is the shared writer's small-write threshold: a writer that
+// wakes to less than this pending yields once before swapping the buffer,
+// so frames that runnable producers are about to enqueue ride the same
+// Write (grpc-go's loopy writer corks the same way).
+const corkBytes = 1 << 10
 
 // errMuxUnsupported reports that the far daemon predates protocol v5.
 // The Dialer caches it per address and opens dedicated v4 connections
@@ -117,6 +124,15 @@ func (m *muxIO) run() {
 	for {
 		for len(m.pending) == 0 && m.err == nil && !m.closed {
 			m.work.Wait()
+		}
+		if len(m.pending) < corkBytes && m.err == nil && !m.closed {
+			// Cork: one yield lets runnable producers append their frames
+			// first. Only this goroutine empties pending, so it is still
+			// non-empty afterwards; a close or fail during the yield is
+			// caught below, and a closing writer never waits.
+			m.mu.Unlock()
+			runtime.Gosched()
+			m.mu.Lock()
 		}
 		if m.err != nil || len(m.pending) == 0 {
 			m.mu.Unlock()

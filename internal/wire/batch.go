@@ -36,12 +36,21 @@ func AppendBatch(dst []byte, items [][]byte) []byte {
 		copy(grown, dst)
 		dst = grown
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(items)))
+	dst = AppendBatchCount(dst, len(items))
 	for _, it := range items {
-		dst = binary.AppendUvarint(dst, uint64(len(it)))
-		dst = append(dst, it...)
+		dst = AppendBatchItem(dst, it)
 	}
 	return dst
+}
+
+// AppendBatchCount appends a batch payload's element count to dst. It
+// and AppendBatchItem build a batch incrementally: the count followed by
+// that many items is exactly AppendBatch's output.
+func AppendBatchCount(dst []byte, n int) []byte { return binary.AppendUvarint(dst, uint64(n)) }
+
+// AppendBatchItem appends one already-marshaled element in batch framing.
+func AppendBatchItem(dst, item []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(item))), item...)
 }
 
 // DecodeBatch splits a batch payload into its still-encoded elements. The

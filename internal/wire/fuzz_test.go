@@ -11,21 +11,7 @@ import (
 // a re-encode round trip — the invariant the remote protocol's frame
 // handling relies on when facing a corrupt or hostile peer.
 func FuzzUnmarshal(f *testing.F) {
-	seed := []value.V{
-		value.NullV,
-		value.NewInt(-123456),
-		value.Real(2.718),
-		value.String("seed string"),
-		value.NewCset("abc"),
-		value.NewList(value.NewInt(1), value.String("x"), value.NewList()),
-		value.NewSet(value.NewInt(1), value.NewInt(2)),
-		value.NewRecord("p", []string{"x"}, []value.V{value.Real(1)}),
-		&Opaque{Kind: "procedure", Desc: "procedure main"},
-	}
-	tbl := value.NewTable(value.NullV)
-	tbl.Set(value.String("k"), value.NewInt(9))
-	seed = append(seed, tbl)
-	for _, v := range seed {
+	for _, v := range fuzzSeedValues() {
 		data, err := Marshal(v)
 		if err != nil {
 			f.Fatalf("seed marshal: %v", err)
@@ -56,4 +42,23 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("round trip not stable: %s vs %s", value.Image(v), value.Image(v2))
 		}
 	})
+}
+
+// fuzzSeedValues are the values whose encodings seed FuzzUnmarshal.
+func fuzzSeedValues() []value.V {
+	seed := []value.V{
+		value.NullV,
+		value.NewInt(-123456),
+		value.Real(2.718),
+		value.String("seed string"),
+		value.NewCset("abc"),
+		value.NewList(value.NewInt(1), value.String("x"), value.NewList()),
+		value.NewSet(value.NewInt(1), value.NewInt(2)),
+		value.NewRecord("p", []string{"x"}, []value.V{value.Real(1)}),
+		&Opaque{Kind: "procedure", Desc: "procedure main"},
+	}
+	tbl := value.NewTable(value.NullV)
+	tbl.Set(value.String("k"), value.NewInt(9))
+	seed = append(seed, tbl)
+	return seed
 }

@@ -98,9 +98,11 @@ func roundTrip(t *testing.T, v value.V) value.V {
 	return got
 }
 
-func TestRoundTripScalars(t *testing.T) {
+// scalarCases is the scalar round-trip corpus: every scalar tag and its
+// edge values.
+func scalarCases() []value.V {
 	huge, _ := new(big.Int).SetString("123456789012345678901234567890", 10)
-	cases := []value.V{
+	return []value.V{
 		value.NullV,
 		value.NewInt(0),
 		value.NewInt(42),
@@ -121,7 +123,10 @@ func TestRoundTripScalars(t *testing.T) {
 		value.NewCset(""),
 		value.CsetLetters,
 	}
-	for _, v := range cases {
+}
+
+func TestRoundTripScalars(t *testing.T) {
+	for _, v := range scalarCases() {
 		got := roundTrip(t, v)
 		if !deepEqual(v, got) {
 			t.Errorf("round trip %s => %s", value.Image(v), value.Image(got))
@@ -137,12 +142,14 @@ func TestRoundTripNaN(t *testing.T) {
 	}
 }
 
-func TestRoundTripStructures(t *testing.T) {
+// structureCases is the structural round-trip corpus: every container
+// tag, empty and nested.
+func structureCases() []value.V {
 	tbl := value.NewTable(value.NewInt(0))
 	tbl.Set(value.String("alpha"), value.NewInt(1))
 	tbl.Set(value.NewInt(2), value.NewList(value.String("nested")))
 	rec := value.NewRecord("point", []string{"x", "y"}, []value.V{value.NewInt(3), value.Real(4.5)})
-	cases := []value.V{
+	return []value.V{
 		value.NewList(),
 		value.NewList(value.NewInt(1), value.String("two"), value.NullV),
 		value.NewList(value.NewList(value.NewList(value.NewInt(9)))),
@@ -150,7 +157,10 @@ func TestRoundTripStructures(t *testing.T) {
 		value.NewSet(value.NewInt(1), value.String("one"), value.Real(1)),
 		rec,
 	}
-	for _, v := range cases {
+}
+
+func TestRoundTripStructures(t *testing.T) {
+	for _, v := range structureCases() {
 		got := roundTrip(t, v)
 		if !deepEqual(v, got) {
 			t.Errorf("round trip %s => %s", value.Image(v), value.Image(got))
